@@ -11,6 +11,8 @@
 #   make bench    — regenerate the committed perfbench baseline
 #   make bench-gate — run the perf matrix and fail on any gated
 #                   (simulated, deterministic) metric change vs the baseline
+#   make hostbench — run the host-performance benchmark (BENCHMARK.json)
+#                   once per workload and print each metric table
 #
 # The race target skips fpgapart/experiments: it re-runs every paper
 # experiment and the race detector's ~10x overhead pushes it past any
@@ -19,7 +21,7 @@
 
 GO ?= go
 
-.PHONY: verify tier1 build vet lint lint-json lint-fix test race bench bench-gate trace-demo fuzz
+.PHONY: verify tier1 build vet lint lint-json lint-fix test race bench bench-gate hostbench trace-demo fuzz
 
 verify: build vet lint test race
 
@@ -71,6 +73,18 @@ bench-gate:
 		$(GO) run ./cmd/perfbench compare bench/baseline/BENCH_$$suite.json bench/out/BENCH_$$suite.json || fail=1; \
 	done; \
 	exit $$fail
+
+# hostbench runs the host-performance benchmark once per workload listed in
+# BENCHMARK.json. It measures how fast the simulator and serving tier run on
+# this host, so its numbers are a trajectory to compare, not a gate; it
+# exits non-zero only if a run's output checks fail. Override the run length
+# or seed with HOSTBENCH_SECONDS / HOSTBENCH_SEED.
+HOSTBENCH_SECONDS ?= 30
+HOSTBENCH_SEED ?= 1
+hostbench:
+	@for w in $$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+		python3 hostbench/run.py --workload $$w --seed $(HOSTBENCH_SEED) --seconds $(HOSTBENCH_SECONDS) --trace 0 || exit 1; \
+	done
 
 # trace-demo exercises the causal-tracing stack end to end on a faulty
 # sharded run: prints the critical-path profile and writes the per-request

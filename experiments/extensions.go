@@ -280,25 +280,14 @@ type DistributedRow struct {
 // CPU and FPGA per-node partitioning (Section 6's RDMA outlook).
 func RunDistributed(cfg Config) (*DistributedResult, error) {
 	cfg = cfg.WithDefaults()
-	n := int(32e6 * cfg.Scale)
-	if n < 1<<16 {
-		n = 1 << 16
-	}
-	spec := workload.WorkloadSpec{ID: "dist", TuplesR: n, TuplesS: n, Distribution: workload.Linear}
-	in, err := spec.Generate(cfg.Seed)
+	in, err := distributedInput(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &DistributedResult{TuplesPerRelation: n}
+	res := &DistributedResult{TuplesPerRelation: in.R.NumTuples}
 	for _, nodes := range []int{1, 2, 4, 8} {
 		for _, fpga := range []bool{false, true} {
-			r, err := distjoin.Join(in.R, in.S, distjoin.Options{
-				Nodes:             nodes,
-				PartitionsPerNode: 8192 / nodes,
-				Threads:           cfg.MaxThreads,
-				UseFPGA:           fpga,
-				Format:            partition.HistMode,
-			})
+			r, err := distributedJoin(cfg, in, nodes, fpga)
 			if err != nil {
 				return nil, err
 			}
@@ -314,6 +303,29 @@ func RunDistributed(cfg Config) (*DistributedResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// distributedInput generates the distributed experiment's linear FK join
+// input: 32M tuples per relation at full scale, at least 2^16.
+func distributedInput(cfg Config) (*workload.JoinInput, error) {
+	n := int(32e6 * cfg.Scale)
+	if n < 1<<16 {
+		n = 1 << 16
+	}
+	spec := workload.WorkloadSpec{ID: "dist", TuplesR: n, TuplesS: n, Distribution: workload.Linear}
+	return spec.Generate(cfg.Seed)
+}
+
+// distributedJoin runs one cell of the distributed experiment: the join of
+// in over the given number of nodes, partitioned by CPU or FPGA.
+func distributedJoin(cfg Config, in *workload.JoinInput, nodes int, fpga bool) (*distjoin.Result, error) {
+	return distjoin.Join(in.R, in.S, distjoin.Options{
+		Nodes:             nodes,
+		PartitionsPerNode: 8192 / nodes,
+		Threads:           cfg.MaxThreads,
+		UseFPGA:           fpga,
+		Format:            partition.HistMode,
+	})
 }
 
 func runDistributed(cfg Config, w io.Writer) error {

@@ -204,44 +204,58 @@ func RunFigure12(cfg Config) (*Figure12Result, error) {
 		Results: map[workload.WorkloadID][]JoinPoint{},
 		Specs:   map[workload.WorkloadID]workload.WorkloadSpec{},
 	}
-	const parts = 8192
 	for _, id := range []workload.WorkloadID{workload.WorkloadC, workload.WorkloadD, workload.WorkloadE} {
-		spec, err := workload.Spec(id)
+		spec, in, err := figure12Input(cfg, id)
 		if err != nil {
 			return nil, err
 		}
-		spec = spec.Scaled(cfg.Scale)
 		res.Specs[id] = spec
-		in, err := spec.Generate(cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
 		for _, threads := range cfg.threadSweep() {
-			radix, err := hashjoin.CPU(in.R, in.S, hashjoin.Options{Partitions: parts, Threads: threads, Hash: false})
+			radix, err := figure12CPUJoin(in, threads, false)
 			if err != nil {
 				return nil, err
 			}
-			res.Results[id] = append(res.Results[id], toPoint("cpu-radix", radix, parts))
+			res.Results[id] = append(res.Results[id], toPoint("cpu-radix", radix, figure12Parts))
 
-			hash, err := hashjoin.CPU(in.R, in.S, hashjoin.Options{Partitions: parts, Threads: threads, Hash: true})
+			hash, err := figure12CPUJoin(in, threads, true)
 			if err != nil {
 				return nil, err
 			}
-			res.Results[id] = append(res.Results[id], toPoint("cpu-hash", hash, parts))
+			res.Results[id] = append(res.Results[id], toPoint("cpu-hash", hash, figure12Parts))
 
 			hyb, err := hashjoin.Hybrid(in.R, in.S, hashjoin.Options{
-				Partitions: parts, Threads: threads, Hash: true,
+				Partitions: figure12Parts, Threads: threads, Hash: true,
 				Format: partition.PadMode, PadFraction: 0.5,
 			})
 			if err != nil {
 				return nil, err
 			}
-			pt := toPoint("fpga-hash", hyb, parts)
+			pt := toPoint("fpga-hash", hyb, figure12Parts)
 			pt.ModelPartitionSec = hybridModelSec(model.Mode{}, spec.TuplesR, spec.TuplesS)
 			res.Results[id] = append(res.Results[id], pt)
 		}
 	}
 	return res, nil
+}
+
+// figure12Parts is Figure 12's fan-out.
+const figure12Parts = 8192
+
+// figure12Input generates workload id at the configured scale.
+func figure12Input(cfg Config, id workload.WorkloadID) (workload.WorkloadSpec, *workload.JoinInput, error) {
+	spec, err := workload.Spec(id)
+	if err != nil {
+		return spec, nil, err
+	}
+	spec = spec.Scaled(cfg.Scale)
+	in, err := spec.Generate(cfg.Seed)
+	return spec, in, err
+}
+
+// figure12CPUJoin runs Figure 12's CPU join with radix (hash false) or hash
+// partitioning.
+func figure12CPUJoin(in *workload.JoinInput, threads int, hash bool) (*hashjoin.Result, error) {
+	return hashjoin.CPU(in.R, in.S, hashjoin.Options{Partitions: figure12Parts, Threads: threads, Hash: hash})
 }
 
 func runFigure12(cfg Config, w io.Writer) error {

@@ -131,7 +131,7 @@ type run struct {
 	compPending int64
 
 	// Hash pipelines (lockstep across lanes).
-	pipe *fpga.Reg[group]
+	pipe *fpga.Pipe[group]
 
 	// Per-lane first-stage FIFOs and write combiners.
 	fifo1 []*fpga.FIFO[tup]
@@ -169,7 +169,7 @@ func (r *run) setup() error {
 		r.total = int64(r.rel.NumTuples)
 	}
 
-	r.pipe = fpga.NewReg[group](hashPipelineDepth)
+	r.pipe = fpga.NewPipe[group](hashPipelineDepth)
 	r.fifo1 = make([]*fpga.FIFO[tup], r.lanes)
 	r.comb = make([]*combiner, r.lanes)
 	for i := range r.fifo1 {
@@ -245,9 +245,7 @@ func (r *run) histogramPass() {
 	r.next = 0
 	for {
 		r.ep.Tick()
-		in, ok := r.nextGroup(false)
-		out, outOK := r.pipe.Shift(in, ok)
-		if outOK {
+		if out := r.pipe.Advance(r.nextGroup(false)); out != nil {
 			for i := 0; i < out.n; i++ {
 				r.hist[out.t[i].part]++
 			}
@@ -370,19 +368,21 @@ func (r *run) translate(off int64) {
 	}
 }
 
-// nextGroup feeds the hash pipelines: it returns the next lane group if the
-// input stage may issue this cycle, or a bubble. When feed is true the
-// back-pressure rule of Section 4.3 applies — a new cache line is requested
-// only if every first-stage FIFO has room for all groups in flight.
-func (r *run) nextGroup(feed bool) (group, bool) {
+// nextGroup feeds the hash pipelines: it writes the next lane group into
+// the pipeline's input slot and reports true if the input stage may issue
+// this cycle, or reports false for a bubble (leaving the slot stale). When
+// feed is true the back-pressure rule of Section 4.3 applies — a new cache
+// line is requested only if every first-stage FIFO has room for all groups
+// in flight.
+func (r *run) nextGroup(feed bool) bool {
 	if r.next >= r.total {
-		return group{}, false
+		return false
 	}
 	if feed {
 		for _, f := range r.fifo1 {
 			if f.Free() < hashPipelineDepth+1 {
 				r.stats.StallsBackpressure++
-				return group{}, false
+				return false
 			}
 		}
 	}
@@ -397,20 +397,22 @@ func (r *run) nextGroup(feed bool) (group, bool) {
 	if needLine {
 		if !r.ep.CanRead() {
 			r.stats.StallsBackpressure++
-			return group{}, false
+			return false
 		}
 		r.ep.Read()
 		r.stats.LinesRead++
 		r.translate(r.inputLineOffset())
 	}
-	var g group
+	g := r.pipe.In()
 	n := int(r.total - r.next)
 	if n > r.lanes {
 		n = r.lanes
 	}
+	// Only the words[:wpt] and part fields of each lane are read
+	// downstream; the rest of the slot keeps stale data.
 	for i := 0; i < n; i++ {
 		idx := r.next + int64(i)
-		var t tup
+		t := &g.t[i]
 		var key uint32
 		if r.cfg.Layout == VRID {
 			key = r.rel.Keys[idx]
@@ -422,12 +424,11 @@ func (r *run) nextGroup(feed bool) (group, bool) {
 			key = uint32(src[0])
 		}
 		t.part = hashutil.PartitionIndex32(key, r.radix, r.cfg.Hash)
-		g.t[i] = t
 	}
 	g.n = n
 	r.next += int64(n)
 	r.stats.TuplesIn += int64(n)
-	return g, true
+	return true
 }
 
 // inputLineOffset returns the byte offset of the cache line about to be read.
@@ -452,14 +453,13 @@ func (r *run) partitionPass() error {
 			return err
 		}
 		for i, cb := range r.comb {
-			cb.step(r.fifo1[i], r.stats, r.cfg)
+			cb.step(r.fifo1[i], r.stats, &r.cfg)
 		}
-		in, ok := r.nextGroup(true)
+		ok := r.nextGroup(true)
 		if !ok {
 			r.stats.HashPipelineBubbles++
 		}
-		out, outOK := r.pipe.Shift(in, ok)
-		if outOK {
+		if out := r.pipe.Advance(ok); out != nil {
 			for i := 0; i < out.n; i++ {
 				r.fifo1[i].Push(out.t[i])
 				if r.fifo1[i].HighWater > r.stats.MaxStage1FIFO {
@@ -539,22 +539,24 @@ func (r *run) combOutsEmpty() bool {
 // combiner output FIFOs into the final FIFO.
 func (r *run) writeBack() error {
 	if !r.final.Empty() {
-		l := r.final.Front()
+		l := r.final.FrontRef()
 		if l.single {
 			// No-write-combiner ablation: a read-modify-write per tuple.
 			if r.ep.CanRead() && r.ep.CanWrite() {
-				r.final.Pop()
 				r.ep.Read()
 				r.ep.Write()
 				r.stats.LinesRead++
-				if err := r.store(l); err != nil {
+				err := r.store(l)
+				r.final.Drop()
+				if err != nil {
 					return err
 				}
 			}
 		} else if r.ep.CanWrite() {
-			r.final.Pop()
 			r.ep.Write()
-			if err := r.store(l); err != nil {
+			err := r.store(l)
+			r.final.Drop()
+			if err != nil {
 				return err
 			}
 		}
@@ -562,8 +564,9 @@ func (r *run) writeBack() error {
 	if r.final.CanPush() {
 		for i := 0; i < r.lanes; i++ {
 			idx := (r.rr + i) % r.lanes
-			if !r.comb[idx].out.Empty() {
-				r.final.Push(r.comb[idx].out.Pop())
+			if src := r.comb[idx].out; !src.Empty() {
+				*r.final.PushSlot() = *src.FrontRef()
+				src.Drop()
 				r.rr = (idx + 1) % r.lanes
 				break
 			}
@@ -574,7 +577,7 @@ func (r *run) writeBack() error {
 
 // store commits one line (or one tuple, in the ablation) to the output
 // buffer, updating the offset and count BRAMs and checking PAD overflow.
-func (r *run) store(l outLine) error {
+func (r *run) store(l *outLine) error {
 	p := int(l.part)
 	if l.single {
 		// Tuple-granular RMW: place the tuple at its exact slot.

@@ -19,16 +19,16 @@ type combiner struct {
 	dummy uint32
 
 	// store is the bank BRAM contents: bank b, partition p at
-	// (b*parts+p)*wpt. fill is the fill-rate BRAM.
+	// (p*banks+b)*wpt, so a partition's line is one contiguous run of
+	// banks*wpt words. fill is the fill-rate BRAM.
 	store []uint64
 	fill  []uint8
 
 	out *fpga.FIFO[outLine]
 
 	// Forwarding registers: the partitions of the previous two accepted
-	// tuples (hash_1d, hash_2d of Code 4).
-	last      [2]uint32
-	lastValid [2]bool
+	// tuples (hash_1d, hash_2d of Code 4), noTuple after a bubble.
+	last [2]uint32
 
 	// Hazard stall state for the DisableForwarding ablation.
 	stall  int
@@ -38,8 +38,12 @@ type combiner struct {
 	flushAddr int
 }
 
+// noTuple marks an empty forwarding register; no partition index equals it.
+const noTuple = ^uint32(0)
+
 func newCombiner(cfg Config, banks, wpt int, dummy uint32) *combiner {
 	return &combiner{
+		last:  [2]uint32{noTuple, noTuple},
 		banks: banks,
 		wpt:   wpt,
 		parts: cfg.NumPartitions,
@@ -54,33 +58,33 @@ func newCombiner(cfg Config, banks, wpt int, dummy uint32) *combiner {
 // from its input FIFO.
 //
 //fpgavet:hotpath
-func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg Config) {
+func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg *Config) {
 	if cb.stall > 0 {
 		cb.stall--
 		st.StallsHazard++
-		cb.shiftHazard(0, false)
+		cb.shiftHazard(noTuple)
 		return
 	}
 	if in.Empty() {
-		cb.shiftHazard(0, false)
+		cb.shiftHazard(noTuple)
 		return
 	}
 	if !cb.out.CanPush() {
 		// Back-pressure from the write-back module; not a hazard stall.
-		cb.shiftHazard(0, false)
+		cb.shiftHazard(noTuple)
 		return
 	}
-	t := in.Front()
+	t := in.FrontRef()
 	h := t.part
 	// The strawman datapath has no fill-rate BRAM, hence no read hazard.
 	hazard := !cfg.DisableWriteCombiner &&
-		((cb.lastValid[0] && h == cb.last[0]) || (cb.lastValid[1] && h == cb.last[1]))
+		(h == cb.last[0] || h == cb.last[1])
 	if hazard && cfg.DisableForwarding && !cb.served {
 		// Without forwarding the issued BRAM read must be discarded and
 		// reissued after the in-flight update lands: 2 dead cycles.
 		cb.stall = 2
 		cb.served = true
-		cb.shiftHazard(0, false)
+		cb.shiftHazard(noTuple)
 		return
 	}
 	if hazard {
@@ -91,59 +95,56 @@ func (cb *combiner) step(in *fpga.FIFO[tup], st *Stats, cfg Config) {
 		st.CombinerBRAMReads++ // fill-rate BRAM read
 	}
 	cb.served = false
-	in.Pop()
 
 	if cfg.DisableWriteCombiner {
 		// Strawman datapath: no gathering; each tuple goes out on its own
-		// and the write-back performs a read-modify-write of its line.
-		var l outLine
+		// and the write-back performs a read-modify-write of its line,
+		// which reads only words[:wpt].
+		l := cb.out.PushSlot()
 		copy(l.words[:cb.wpt], t.words[:cb.wpt])
+		in.Drop()
 		l.part = h
 		l.valid = 1
 		l.single = true
-		cb.out.Push(l)
-		cb.shiftHazard(h, true)
+		cb.shiftHazard(h)
 		return
 	}
 
 	f := int(cb.fill[h])
-	copy(cb.store[(f*cb.parts+int(h))*cb.wpt:], t.words[:cb.wpt])
+	copy(cb.store[(int(h)*cb.banks+f)*cb.wpt:], t.words[:cb.wpt])
+	in.Drop()
 	st.CombinerBRAMWrites += 2 // bank write + fill-rate update
 	if f == cb.banks-1 {
 		cb.fill[h] = 0
 		st.CombinerBRAMReads += int64(cb.banks) // bank reads for line assembly
-		cb.out.Push(cb.assemble(h, cb.banks))
+		cb.assemble(cb.out.PushSlot(), h, cb.banks)
 	} else {
 		cb.fill[h] = uint8(f + 1)
 	}
-	cb.shiftHazard(h, true)
+	cb.shiftHazard(h)
 }
 
-// shiftHazard advances the 1d/2d delay registers; bubbles (no accepted
-// tuple) clear the corresponding slot, as the in-flight update has reached
-// the BRAM by then.
-func (cb *combiner) shiftHazard(h uint32, valid bool) {
-	cb.last[1], cb.lastValid[1] = cb.last[0], cb.lastValid[0]
-	cb.last[0], cb.lastValid[0] = h, valid
+// shiftHazard advances the 1d/2d delay registers with the partition of the
+// tuple accepted this cycle; a bubble (noTuple) clears the slot, as the
+// in-flight update has reached the BRAM by then.
+func (cb *combiner) shiftHazard(h uint32) {
+	cb.last[1], cb.last[0] = cb.last[0], h
 }
 
-// assemble builds a cache line for partition h from the first n bank slots;
-// remaining slots are filled with dummy-key tuples.
-func (cb *combiner) assemble(h uint32, n int) outLine {
-	var l outLine
-	for b := 0; b < cb.banks; b++ {
-		dst := l.words[b*cb.wpt : (b+1)*cb.wpt]
-		if b < n {
-			copy(dst, cb.store[(b*cb.parts+int(h))*cb.wpt:(b*cb.parts+int(h))*cb.wpt+cb.wpt])
-		} else {
-			for w := range dst {
-				dst[w] = uint64(cb.dummy) | uint64(cb.dummy)<<32
-			}
-		}
+// assemble writes the cache line for partition h into l, an output FIFO
+// slot holding stale data: the first n bank slots carry tuples, and every
+// remaining word up to the end of the line is a dummy-key tuple. All fields
+// of l are rewritten.
+func (cb *combiner) assemble(l *outLine, h uint32, n int) {
+	base := int(h) * cb.banks * cb.wpt
+	m := copy(l.words[:], cb.store[base:base+n*cb.wpt])
+	dummy := uint64(cb.dummy) | uint64(cb.dummy)<<32
+	for w := m; w < len(l.words); w++ {
+		l.words[w] = dummy
 	}
 	l.part = h
 	l.valid = uint8(n)
-	return l
+	l.single = false
 }
 
 // idle reports whether the combiner has no work in flight (its banks may
@@ -174,7 +175,7 @@ func (cb *combiner) flushStep(st *Stats) bool {
 	cb.fill[cb.flushAddr] = 0
 	st.CombinerBRAMWrites++          // fill-rate reset
 	st.CombinerBRAMReads += int64(f) // bank reads for the partial line
-	cb.out.Push(cb.assemble(uint32(cb.flushAddr), f))
+	cb.assemble(cb.out.PushSlot(), uint32(cb.flushAddr), f)
 	cb.flushAddr++
 	return cb.flushAddr >= cb.parts
 }

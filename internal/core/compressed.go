@@ -52,8 +52,9 @@ func (c *Circuit) PartitionCompressed(col *codec.RLEColumn) (*Output, *Stats, er
 
 // nextCompressedGroup is nextGroup's decompressor path: fetch whatever
 // compressed lines the next lane group needs (possibly over several cycles
-// under read back-pressure), then expand up to one group of keys per cycle.
-func (r *run) nextCompressedGroup() (group, bool) {
+// under read back-pressure), then expand up to one group of keys per cycle
+// into the pipeline's input slot.
+func (r *run) nextCompressedGroup() bool {
 	if r.compPending < 0 {
 		r.compPending = r.comp.pendingLines(r.lanes)
 	}
@@ -64,26 +65,25 @@ func (r *run) nextCompressedGroup() (group, bool) {
 	}
 	if r.compPending > 0 {
 		r.stats.StallsBackpressure++
-		return group{}, false
+		return false
 	}
 	var keys [8]uint32
 	n := r.comp.emit(r.lanes, keys[:])
 	if n == 0 {
-		return group{}, false
+		return false
 	}
-	var g group
+	g := r.pipe.In()
 	for i := 0; i < n; i++ {
 		idx := r.next + int64(i)
-		var t tup
+		t := &g.t[i]
 		t.words[0] = uint64(idx)<<32 | uint64(keys[i]) // <key, VRID>
 		t.part = hashutil.PartitionIndex32(keys[i], r.radix, r.cfg.Hash)
-		g.t[i] = t
 	}
 	g.n = n
 	r.next += int64(n)
 	r.stats.TuplesIn += int64(n)
 	r.compPending = -1
-	return g, true
+	return true
 }
 
 // rleFeed is the decompressor model: it tracks which compressed cache line

@@ -140,7 +140,7 @@ func TestCombinerUnitFillAndEmit(t *testing.T) {
 		in.Push(tup{words: [8]uint64{uint64(i)<<32 | 2}, part: 2})
 	}
 	for i := 0; i < 7; i++ {
-		cb.step(in, stats, cfg)
+		cb.step(in, stats, &cfg)
 	}
 	if !cb.out.Empty() {
 		t.Fatal("line emitted before eight tuples arrived")
@@ -150,11 +150,11 @@ func TestCombinerUnitFillAndEmit(t *testing.T) {
 	}
 	// Eighth completes the line.
 	in.Push(tup{words: [8]uint64{7<<32 | 2}, part: 2})
-	cb.step(in, stats, cfg)
+	cb.step(in, stats, &cfg)
 	if cb.out.Len() != 1 {
 		t.Fatal("no line after eighth tuple")
 	}
-	l := cb.out.Pop()
+	l := cb.out.FrontRef()
 	if l.part != 2 || l.valid != 8 {
 		t.Fatalf("line: part=%d valid=%d", l.part, l.valid)
 	}
@@ -175,14 +175,14 @@ func TestCombinerUnitFlushPadsWithDummies(t *testing.T) {
 	in := newTestFIFO(cfg)
 	stats := &Stats{}
 	in.Push(tup{words: [8]uint64{123<<32 | 3}, part: 3})
-	cb.step(in, stats, cfg)
+	cb.step(in, stats, &cfg)
 	// Scan all four addresses.
 	for !cb.flushStep(stats) {
 	}
 	if cb.out.Len() != 1 {
 		t.Fatalf("flush emitted %d lines, want 1", cb.out.Len())
 	}
-	l := cb.out.Pop()
+	l := cb.out.FrontRef()
 	if l.part != 3 || l.valid != 1 {
 		t.Fatalf("flushed line: part=%d valid=%d", l.part, l.valid)
 	}
@@ -194,6 +194,7 @@ func TestCombinerUnitFlushPadsWithDummies(t *testing.T) {
 			t.Fatalf("slot %d not dummy: %#x", i, l.words[i])
 		}
 	}
+	cb.out.Drop()
 	// Further flush steps stay done and emit nothing.
 	if !cb.flushStep(stats) || !cb.out.Empty() {
 		t.Error("flush not idempotent")
@@ -211,7 +212,7 @@ func TestCombinerBackpressureHoldsTuple(t *testing.T) {
 		in.Push(tup{words: [8]uint64{1}, part: 1})
 	}
 	for i := 0; i < 10; i++ {
-		cb.step(in, stats, cfg)
+		cb.step(in, stats, &cfg)
 	}
 	if cb.out.Len() != 2 {
 		t.Fatalf("out FIFO holds %d lines, want its capacity 2", cb.out.Len())

@@ -16,8 +16,8 @@ var hashStages = [hashPipelineDepth]func(uint32) uint32{
 // hash module: a key inserted on cycle t emerges fully hashed on cycle t+5,
 // with one result per cycle at full throughput.
 //
-// The partitioner circuit itself ([ring].pipe) models the module as an
-// opaque fpga.Reg of the same depth and applies the software finalizer at
+// The partitioner circuit itself (run.pipe) models the module as an
+// opaque fpga.Pipe of the same depth and applies the software finalizer at
 // the tail; HashPipeline exists to prove the staged decomposition computes
 // the identical function (see the hashutil fuzz test), so the latency model
 // and the arithmetic can be trusted independently.

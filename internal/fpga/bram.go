@@ -89,42 +89,63 @@ func (b *BRAM[T]) Fill(v T) {
 	}
 }
 
-// Reg is a pipeline register chain of fixed depth: a value shifted in
-// emerges depth cycles later. It models the stages of the hash-function
-// pipeline (Code 3), where each VHDL line is a register stage.
-type Reg[T any] struct {
-	stages []T
-	valid  []bool
+// Pipe is a pipeline register chain of fixed depth that holds its words in
+// place: a value written in cycle t emerges in cycle t+depth. It models the
+// stages of the hash-function pipeline (Code 3), where each VHDL line is a
+// register stage.
+//
+// The chain is a ring of depth+1 slots. Each cycle the producer fills In()
+// in place and calls Advance, which returns the slot written depth cycles
+// earlier. That slot is the next cycle's In(), so the consumer must finish
+// reading it before the producer fills the next input; the extra slot is
+// what keeps the slot being written distinct from the slot being read.
+// Nothing is copied or cleared: a bubble's slot keeps stale data and is
+// never returned.
+type Pipe[T any] struct {
+	slots    []T
+	valid    []bool
+	head     int // slot In() returns this cycle
+	inFlight int // valid values written and not yet returned
 }
 
-// NewReg returns a register chain of the given depth (≥ 1).
-func NewReg[T any](depth int) *Reg[T] {
+// NewPipe returns a register chain of the given depth (≥ 1).
+func NewPipe[T any](depth int) *Pipe[T] {
 	if depth <= 0 {
 		panic(fmt.Sprintf("fpga: register chain of depth %d", depth))
 	}
-	return &Reg[T]{stages: make([]T, depth), valid: make([]bool, depth)}
+	return &Pipe[T]{slots: make([]T, depth+1), valid: make([]bool, depth+1)}
 }
 
 // Depth returns the latency of the chain in cycles.
-func (r *Reg[T]) Depth() int { return len(r.stages) }
+func (p *Pipe[T]) Depth() int { return len(p.slots) - 1 }
 
-// Shift advances the chain one cycle, inserting (in, inValid) at the head
-// and returning the value falling out of the tail.
-func (r *Reg[T]) Shift(in T, inValid bool) (out T, outValid bool) {
-	last := len(r.stages) - 1
-	out, outValid = r.stages[last], r.valid[last]
-	copy(r.stages[1:], r.stages[:last])
-	copy(r.valid[1:], r.valid[:last])
-	r.stages[0], r.valid[0] = in, inValid
-	return out, outValid
+// In returns the input slot of the current cycle. It holds stale data: the
+// producer overwrites every field its consumer reads.
+func (p *Pipe[T]) In() *T { return &p.slots[p.head] }
+
+// Advance clocks the chain one cycle, latching In() with the given valid
+// bit. It returns the slot written Depth() cycles ago, or nil if that cycle
+// was a bubble. The returned slot stays intact until the caller's next
+// write through In().
+//
+//fpgavet:hotpath
+func (p *Pipe[T]) Advance(valid bool) *T {
+	p.valid[p.head] = valid
+	if valid {
+		p.inFlight++
+	}
+	p.head++
+	if p.head == len(p.slots) {
+		p.head = 0
+	}
+	// The oldest slot, Depth() writes back, is the next cycle's input slot.
+	if !p.valid[p.head] {
+		return nil
+	}
+	p.valid[p.head] = false
+	p.inFlight--
+	return &p.slots[p.head]
 }
 
 // Drained reports whether no valid values remain in flight.
-func (r *Reg[T]) Drained() bool {
-	for _, v := range r.valid {
-		if v {
-			return false
-		}
-	}
-	return true
-}
+func (p *Pipe[T]) Drained() bool { return p.inFlight == 0 }

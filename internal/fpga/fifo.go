@@ -59,38 +59,56 @@ func (f *FIFO[T]) Empty() bool { return f.size == 0 }
 // CanPush reports whether a push would succeed.
 func (f *FIFO[T]) CanPush() bool { return f.size < len(f.buf) }
 
-// Push enqueues v. Pushing into a full FIFO is a design bug — hardware would
-// silently drop data — so the simulator panics to surface it.
+// Push enqueues a copy of v. Pushing into a full FIFO is a design bug —
+// hardware would silently drop data — so the simulator panics to surface it.
 //
 //fpgavet:hotpath
-func (f *FIFO[T]) Push(v T) {
-	if !f.CanPush() {
+func (f *FIFO[T]) Push(v T) { *f.PushSlot() = v }
+
+// PushSlot enqueues one element and returns its slot for the producer to
+// fill in place. The slot holds whatever element last occupied it: the
+// producer must overwrite every field its consumer reads. It panics on a
+// full FIFO, as Push does.
+//
+//fpgavet:hotpath
+func (f *FIFO[T]) PushSlot() *T {
+	if f.size == len(f.buf) {
 		panic("fpga: push into full FIFO (back-pressure violated)")
 	}
-	f.buf[(f.head+f.size)%len(f.buf)] = v
+	i := f.head + f.size
+	if i >= len(f.buf) {
+		i -= len(f.buf)
+	}
 	f.size++
 	if f.size > f.HighWater {
 		f.HighWater = f.size
 	}
 	f.occ.Observe(int64(f.size))
+	return &f.buf[i]
 }
 
-// Front returns the oldest element without removing it.
-func (f *FIFO[T]) Front() T {
-	if f.Empty() {
-		panic("fpga: front of empty FIFO")
-	}
-	return f.buf[f.head]
-}
-
-// Pop removes and returns the oldest element.
+// FrontRef returns the oldest element in place. The pointer is valid until
+// the matching Drop; after it the slot may be refilled by PushSlot.
 //
 //fpgavet:hotpath
-func (f *FIFO[T]) Pop() T {
-	v := f.Front()
-	var zero T
-	f.buf[f.head] = zero
-	f.head = (f.head + 1) % len(f.buf)
+func (f *FIFO[T]) FrontRef() *T {
+	if f.size == 0 {
+		panic("fpga: front of empty FIFO")
+	}
+	return &f.buf[f.head]
+}
+
+// Drop removes the oldest element. The slot is not cleared; it keeps its
+// contents until a later PushSlot hands it to a producer.
+//
+//fpgavet:hotpath
+func (f *FIFO[T]) Drop() {
+	if f.size == 0 {
+		panic("fpga: drop from empty FIFO")
+	}
+	f.head++
+	if f.head == len(f.buf) {
+		f.head = 0
+	}
 	f.size--
-	return v
 }

@@ -1,9 +1,19 @@
 package fpga
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fpgapart/internal/simtrace"
 )
+
+// pop reads the oldest element through FrontRef and drops it.
+func pop[T any](f *FIFO[T]) T {
+	v := *f.FrontRef()
+	f.Drop()
+	return v
+}
 
 func TestFIFOBasicOrder(t *testing.T) {
 	f := NewFIFO[int](4)
@@ -20,10 +30,10 @@ func TestFIFOBasicOrder(t *testing.T) {
 		t.Errorf("Len/Free = %d/%d", f.Len(), f.Free())
 	}
 	for i := 1; i <= 4; i++ {
-		if f.Front() != i {
-			t.Fatalf("Front = %d, want %d", f.Front(), i)
+		if *f.FrontRef() != i {
+			t.Fatalf("FrontRef = %d, want %d", *f.FrontRef(), i)
 		}
-		if f.Pop() != i {
+		if pop(f) != i {
 			t.Fatalf("Pop out of order at %d", i)
 		}
 	}
@@ -41,12 +51,12 @@ func TestFIFOWrapAround(t *testing.T) {
 			f.Push(next)
 			next++
 		}
-		f.Pop() // free one slot
+		f.Drop() // free one slot
 		expect++
 		f.Push(next)
 		next++
 		for !f.Empty() {
-			if got := f.Pop(); got != expect {
+			if got := pop(f); got != expect {
 				t.Fatalf("round %d: got %d, want %d", round, got, expect)
 			}
 			expect++
@@ -66,12 +76,73 @@ func TestFIFOOverflowPanics(t *testing.T) {
 }
 
 func TestFIFOUnderflowPanics(t *testing.T) {
+	for name, op := range map[string]func(*FIFO[int]){
+		"FrontRef": func(f *FIFO[int]) { f.FrontRef() },
+		"Drop":     (*FIFO[int]).Drop,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on empty FIFO did not panic", name)
+				}
+			}()
+			f := NewFIFO[int](2)
+			f.Push(1)
+			f.Drop()
+			op(f)
+		}()
+	}
+}
+
+func TestFIFOPushSlotFullPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("pop from empty FIFO did not panic")
+			t.Error("PushSlot into full FIFO did not panic")
 		}
 	}()
-	NewFIFO[int](1).Pop()
+	f := NewFIFO[int](2)
+	*f.PushSlot() = 1
+	*f.PushSlot() = 2
+	f.PushSlot()
+}
+
+// TestFIFOSlotsInPlace drives PushSlot/FrontRef/Drop around the ring several
+// times: order survives wrap-around, a slot is handed back with its stale
+// contents, HighWater tracks the peak, and the gauge observes every push.
+func TestFIFOSlotsInPlace(t *testing.T) {
+	reg := simtrace.NewRegistry()
+	occ := reg.Gauge("occ")
+	f := NewFIFO[[2]int](3)
+	f.Instrument(occ)
+	next, expect := 0, 0
+	for round := 0; round < 7; round++ {
+		for i := 0; i < 2; i++ {
+			s := f.PushSlot()
+			if next >= f.Cap() && s[1] != -1 {
+				t.Fatalf("push %d: reused slot holds %v, want the stale dropped element", next, *s)
+			}
+			s[0], s[1] = next, next
+			next++
+			if got := occ.Value(); got != int64(f.Len()) {
+				t.Fatalf("occupancy gauge = %d after push, want %d", got, f.Len())
+			}
+		}
+		for !f.Empty() {
+			s := f.FrontRef()
+			if s[0] != expect {
+				t.Fatalf("round %d: FrontRef = %d, want %d", round, s[0], expect)
+			}
+			s[1] = -1 // mark: Drop must leave this in the slot
+			f.Drop()
+			expect++
+		}
+	}
+	if f.HighWater != 2 {
+		t.Errorf("HighWater = %d, want 2", f.HighWater)
+	}
+	if got := occ.Max(); got != 2 {
+		t.Errorf("occupancy gauge max = %d, want 2", got)
+	}
 }
 
 func TestFIFOZeroCapacityPanics(t *testing.T) {
@@ -88,9 +159,9 @@ func TestFIFOHighWater(t *testing.T) {
 	f.Push(1)
 	f.Push(2)
 	f.Push(3)
-	f.Pop()
-	f.Pop()
-	f.Pop()
+	f.Drop()
+	f.Drop()
+	f.Drop()
 	f.Push(4)
 	if f.HighWater != 3 {
 		t.Errorf("HighWater = %d, want 3", f.HighWater)
@@ -109,7 +180,7 @@ func TestFIFOPropertyQueueSemantics(t *testing.T) {
 				ref = append(ref, n)
 				n++
 			} else if !push && !fifo.Empty() {
-				got := fifo.Pop()
+				got := pop(fifo)
 				want := ref[0]
 				ref = ref[1:]
 				if got != want {
@@ -189,13 +260,73 @@ func TestBRAMReadWithoutIssuePanics(t *testing.T) {
 	NewBRAM[int](2).ReadData()
 }
 
-func TestRegLatency(t *testing.T) {
-	r := NewReg[int](5) // the murmur pipeline depth
+// shiftReg is the copying register chain the simulator used before Pipe:
+// every cycle shifts every stage one place. It is the reference Pipe is
+// checked against.
+type shiftReg struct {
+	stages []int
+	valid  []bool
+}
+
+func (r *shiftReg) shift(in int, inValid bool) (int, bool) {
+	last := len(r.stages) - 1
+	out, outValid := r.stages[last], r.valid[last]
+	copy(r.stages[1:], r.stages[:last])
+	copy(r.valid[1:], r.valid[:last])
+	r.stages[0], r.valid[0] = in, inValid
+	return out, outValid
+}
+
+func (r *shiftReg) drained() bool {
+	for _, v := range r.valid {
+		if v {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPipeMatchesShiftRegister runs Pipe and the copying shift register
+// side by side on random valid/bubble sequences: every cycle they must
+// agree on whether a value emerges, which value, and Drained.
+func TestPipeMatchesShiftRegister(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		depth := 1 + rng.Intn(7)
+		p := NewPipe[int](depth)
+		ref := &shiftReg{stages: make([]int, depth), valid: make([]bool, depth)}
+		bubbleRate := rng.Float64()
+		for cyc := 0; cyc < 64; cyc++ {
+			v := trial*1000 + cyc
+			valid := cyc < 48 && rng.Float64() >= bubbleRate
+			// The producer writes the slot even on a bubble, as a
+			// stalled stage would; the value must never emerge.
+			*p.In() = v
+			got := p.Advance(valid)
+			want, wantOK := ref.shift(v, valid)
+			if (got != nil) != wantOK || (got != nil && *got != want) {
+				t.Fatalf("depth %d cycle %d: Advance = %v, shift register = %d,%v", depth, cyc, got, want, wantOK)
+			}
+			if p.Drained() != ref.drained() {
+				t.Fatalf("depth %d cycle %d: Drained = %v, shift register %v", depth, cyc, p.Drained(), ref.drained())
+			}
+		}
+		if !p.Drained() {
+			t.Fatalf("depth %d: not drained after 16 idle cycles", depth)
+		}
+	}
+}
+
+func TestPipeLatency(t *testing.T) {
+	p := NewPipe[int](5) // the murmur pipeline depth
+	if p.Depth() != 5 {
+		t.Fatalf("Depth = %d", p.Depth())
+	}
 	var outputs []int
 	for i := 0; i < 10; i++ {
-		out, ok := r.Shift(i, true)
-		if ok {
-			outputs = append(outputs, out)
+		*p.In() = i
+		if out := p.Advance(true); out != nil {
+			outputs = append(outputs, *out)
 		}
 	}
 	// First output appears after 5 cycles and values emerge in order.
@@ -209,41 +340,13 @@ func TestRegLatency(t *testing.T) {
 	}
 }
 
-func TestRegBubbles(t *testing.T) {
-	r := NewReg[int](2)
-	r.Shift(1, true)
-	r.Shift(0, false) // bubble
-	out, ok := r.Shift(2, true)
-	if !ok || out != 1 {
-		t.Errorf("first emerge = %d,%v, want 1,true", out, ok)
-	}
-	out, ok = r.Shift(0, false)
-	if ok {
-		t.Errorf("bubble emerged as valid: %d", out)
-	}
-	out, ok = r.Shift(0, false)
-	if !ok || out != 2 {
-		t.Errorf("second emerge = %d,%v, want 2,true", out, ok)
-	}
-	if r.Drained() == false {
-		// one more shift should drain fully
-		r.Shift(0, false)
-	}
-	for i := 0; i < 3; i++ {
-		r.Shift(0, false)
-	}
-	if !r.Drained() {
-		t.Error("register chain not drained after flushing")
-	}
-}
-
-func TestRegDepthOnePanicsOnZero(t *testing.T) {
+func TestPipeZeroDepthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("zero-depth register chain did not panic")
 		}
 	}()
-	NewReg[int](0)
+	NewPipe[int](0)
 }
 
 func TestBRAMZeroWordsPanics(t *testing.T) {
