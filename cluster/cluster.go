@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -27,11 +28,12 @@ func guardSimulator(err *error) {
 }
 
 // HedgeAuto selects the running-percentile hedge deadline: a request is
-// hedged when its primary response is outstanding past the p95 of all
-// responses completed by its admission time (deterministic — the percentile
-// is computed over virtual-time completions, which are themselves pure
-// functions of stream, config and seed). Fewer than hedgeMinSamples
-// completed responses means no hedge: the estimate is not trustworthy yet.
+// hedged when its primary response is outstanding past the nearest-rank p95
+// of all responses completed by its admission time (deterministic — the
+// percentile is computed over virtual-time completions, which are
+// themselves pure functions of stream, config and seed). Fewer than
+// hedgeMinSamples completed responses means no hedge: the estimate is not
+// trustworthy yet.
 const HedgeAuto int64 = -1
 
 // hedgeMinSamples gates the HedgeAuto estimator until it has seen enough
@@ -277,9 +279,14 @@ type runState struct {
 
 	throttleDelayUS int64
 
-	shardReps []*partserver.Report
-	finDone   []int64
-	finStatus []partserver.Status
+	// shardReps[s] is the memo of shard s's primary-lane report: nil until
+	// the shard is simulated, and again whenever a handoff changes its job
+	// list. finDone/finStatus index the per-request completions of the
+	// latest reports; primarySims counts primary-lane shard simulations.
+	shardReps   []*partserver.Report
+	finDone     []int64
+	finStatus   []partserver.Status
+	primarySims int
 
 	// Hedge lane: per-replica job lists, positions, reports, and the
 	// per-request lane result (nil when the request was not hedged).
@@ -367,6 +374,12 @@ func newRunState(reqs []Request, cfg Config) (*runState, error) {
 	st.served = make([]int, st.numShards)
 	st.shardJobs = make([][]partserver.Job, st.numShards)
 	st.handoff = make([]int64, len(reqs))
+	st.shardReps = make([]*partserver.Report, st.numShards)
+	st.finDone = make([]int64, len(reqs))
+	st.finStatus = make([]partserver.Status, len(reqs))
+	for i := range st.finStatus {
+		st.finStatus[i] = partserver.StatusFailed
+	}
 	st.lanePos = make([]int, len(reqs))
 	st.laneRes = make([]*partserver.JobResult, len(reqs))
 	for i := range st.lanePos {
@@ -450,12 +463,15 @@ func (st *runState) route() {
 // migrate computes the handoff barriers of the membership schedule, one
 // event at a time in schedule order. For event j the barrier of old owner o
 // is the completion time of the last request o had admitted for the ranges
-// event j moved away — measured on a planning pass that replays the shards
-// with the barriers of events < j already applied, using the exact seeds of
-// the real serve pass. Requests admitted after the event whose key moved
-// then wait until their old owner's barrier before arriving at the new
-// owner ("plan-then-execute": the barrier is a pure function of stream,
-// config and seed, never of live queue state).
+// event j moved away — measured on a planning pass of the primary lane with
+// the barriers of events < j already applied, using the exact seeds of the
+// real serve pass. Requests admitted after the event whose key moved then
+// wait until their old owner's barrier before arriving at the new owner
+// ("plan-then-execute": the barrier is a pure function of stream, config
+// and seed, never of live queue state). A planning pass is a memoized serve
+// pass: it re-simulates only the shards whose job list a handoff changed
+// since their last simulation, so a run that delays no handoff simulates
+// each shard once.
 func (st *runState) migrate() error {
 	if len(st.events) == 0 {
 		return nil
@@ -463,19 +479,8 @@ func (st *runState) migrate() error {
 	st.barriers = make([][]int64, len(st.events))
 	for j := range st.events {
 		st.barriers[j] = make([]int64, st.numShards)
-		reps, err := st.runShards(st.jobsWithHandoff(), nil, 0, "")
-		if err != nil {
+		if err := st.serve(); err != nil {
 			return fmt.Errorf("cluster: planning membership event %d: %w", j, err)
-		}
-		refDone := make([]int64, len(st.reqs))
-		for s := range reps {
-			if reps[s] == nil {
-				continue
-			}
-			for k := range reps[s].Results {
-				jr := &reps[s].Results[k]
-				refDone[jr.Tag] = jr.DoneUS
-			}
 		}
 		oldRing, newRing := st.rings[j], st.rings[j+1]
 		// Barrier: drain point of each old owner's moved ranges.
@@ -489,13 +494,14 @@ func (st *runState) migrate() error {
 			if d.shard != o || newRing.Shard(key) == o {
 				continue
 			}
-			if refDone[idx] > st.barriers[j][o] {
-				st.barriers[j][o] = refDone[idx]
+			if st.finDone[idx] > st.barriers[j][o] {
+				st.barriers[j][o] = st.finDone[idx]
 			}
 		}
 		// Handoff: post-event requests for moved keys wait out the barrier.
 		// A later event that moves the key again supersedes this one (its
-		// pass re-applies over these values).
+		// pass re-applies over these values). A changed wait changes the
+		// shard's job list, so the shard is re-simulated on the next pass.
 		for idx := range st.reqs {
 			d := &st.decisions[idx]
 			if d.shard < 0 || d.epoch <= j {
@@ -510,6 +516,9 @@ func (st *runState) migrate() error {
 			if w < 0 {
 				w = 0
 			}
+			if w != st.handoff[idx] {
+				st.shardReps[d.shard] = nil
+			}
 			d.handoffUS = w
 			st.handoff[idx] = w
 			st.plumb.record(d.admitUS, "range_moved", idx, int64(n))
@@ -518,30 +527,31 @@ func (st *runState) migrate() error {
 	return nil
 }
 
-// jobsWithHandoff returns the per-shard job lists with each migrating
-// request's shard arrival pushed to admit + handoff. Zero-handoff runs
-// return the admission-time lists unchanged (and uncopied).
-func (st *runState) jobsWithHandoff() [][]partserver.Job {
-	delayed := false
-	for idx := range st.handoff {
-		if st.handoff[idx] > 0 {
-			delayed = true
-			break
-		}
-	}
-	if !delayed {
-		return st.shardJobs
-	}
+// staleJobs returns the job lists of the shards without a memoized report
+// (nil for the rest), with each migrating request's shard arrival pushed to
+// admit + handoff. A shard without delayed requests gets its admission-time
+// list unchanged (and uncopied).
+func (st *runState) staleJobs() [][]partserver.Job {
 	jobs := make([][]partserver.Job, st.numShards)
 	for s := range jobs {
-		jobs[s] = append([]partserver.Job(nil), st.shardJobs[s]...)
+		if st.shardReps[s] == nil {
+			jobs[s] = st.shardJobs[s]
+		}
 	}
-	for idx := range st.handoff {
-		if st.handoff[idx] <= 0 {
+	copied := make([]bool, st.numShards)
+	for idx, w := range st.handoff {
+		if w <= 0 {
 			continue
 		}
 		d := &st.decisions[idx]
-		jobs[d.shard][st.jobPos[idx]].ArrivalUS = d.admitUS + st.handoff[idx]
+		if st.shardReps[d.shard] != nil {
+			continue
+		}
+		if !copied[d.shard] {
+			jobs[d.shard] = append([]partserver.Job(nil), jobs[d.shard]...)
+			copied[d.shard] = true
+		}
+		jobs[d.shard][st.jobPos[idx]].ArrivalUS = d.admitUS + w
 	}
 	return jobs
 }
@@ -550,7 +560,7 @@ func (st *runState) jobsWithHandoff() [][]partserver.Job {
 // concurrent goroutines, and harvests in shard-index order. salt separates
 // the seed streams of the serve and hedge lanes (0 is the primary lane);
 // lane prefixes the shards' causal-record components; rec supplies the
-// per-shard recorder (nil for unrecorded planning passes).
+// per-shard recorder (nil when the run is untraced).
 func (st *runState) runShards(jobs [][]partserver.Job, rec func(int) *reqtrace.Recorder, salt uint64, lane string) ([]*partserver.Report, error) {
 	reps := make([]*partserver.Report, st.numShards)
 	errs := make([]error, st.numShards)
@@ -559,10 +569,7 @@ func (st *runState) runShards(jobs [][]partserver.Job, rec func(int) *reqtrace.R
 		if len(jobs[s]) == 0 {
 			continue
 		}
-		var r *reqtrace.Recorder
-		if rec != nil {
-			r = rec(s)
-		}
+		r := rec(s)
 		wg.Add(1)
 		go func(s int, r *reqtrace.Recorder) {
 			defer wg.Done()
@@ -589,23 +596,24 @@ func (st *runState) runShards(jobs [][]partserver.Job, rec func(int) *reqtrace.R
 	return reps, nil
 }
 
-// serve runs the primary lane — every admitted request on its owner, with
-// migration handoffs applied — and indexes the per-request completions.
+// serve brings the primary lane — every admitted request on its owner, with
+// migration handoffs applied — up to date and indexes the per-request
+// completions. A shard's primary-lane report is a pure function of its job
+// list (its seed and fault scenario are fixed), so only shards without a
+// memoized report are simulated, each with a fresh recorder; the others
+// keep the report and recorder of their last simulation, which are exactly
+// what a re-simulation would produce.
 func (st *runState) serve() error {
-	reps, err := st.runShards(st.jobsWithHandoff(), st.plumb.shardRecorder, 0, "")
+	reps, err := st.runShards(st.staleJobs(), st.plumb.freshShardRecorder, 0, "")
 	if err != nil {
 		return err
-	}
-	st.shardReps = reps
-	st.finDone = make([]int64, len(st.reqs))
-	st.finStatus = make([]partserver.Status, len(st.reqs))
-	for i := range st.finStatus {
-		st.finStatus[i] = partserver.StatusFailed
 	}
 	for s := range reps {
 		if reps[s] == nil {
 			continue
 		}
+		st.primarySims++
+		st.shardReps[s] = reps[s]
 		for k := range reps[s].Results {
 			jr := &reps[s].Results[k]
 			st.finDone[jr.Tag] = jr.DoneUS
@@ -615,26 +623,72 @@ func (st *runState) serve() error {
 	return nil
 }
 
-// hedgeDeadline returns request idx's hedge deadline in µs past admission.
-// Fixed mode returns HedgeUS; HedgeAuto the nearest-rank p95 of the
-// router-observed latencies of requests completed by idx's admission (ok is
-// false until hedgeMinSamples responses have completed).
-func (st *runState) hedgeDeadline(idx int) (int64, bool) {
-	if st.cfg.HedgeUS > 0 {
-		return st.cfg.HedgeUS, true
-	}
-	admit := st.decisions[idx].admitUS
-	samples := make([]int64, 0, len(st.reqs))
-	for j := range st.reqs {
-		if st.finStatus[j] == partserver.StatusDone && st.finDone[j] <= admit {
-			samples = append(samples, st.finDone[j]-st.decisions[j].admitUS)
+// autoDeadlines returns every request's HedgeAuto deadline in µs past
+// admission (0: no hedge): the nearest-rank p95 of the router-observed
+// latencies of the requests completed by its admission, once at least
+// hedgeMinSamples have completed. One offline sweep computes them all:
+// requests in admission order, completions inserted in completion order
+// into a Fenwick tree over latency ranks, the p95 read by rank descent —
+// O(n log n) instead of a scan and sort per request.
+func (st *runState) autoDeadlines() []int64 {
+	var done []int
+	for idx := range st.reqs {
+		if st.finStatus[idx] == partserver.StatusDone {
+			done = append(done, idx)
 		}
 	}
-	if len(samples) < hedgeMinSamples {
-		return 0, false
+	latency := func(idx int) int64 { return st.finDone[idx] - st.decisions[idx].admitUS }
+	byLatency := append([]int(nil), done...)
+	sort.Slice(byLatency, func(a, b int) bool { return latency(byLatency[a]) < latency(byLatency[b]) })
+	rank := make([]int, len(st.reqs))
+	for r, idx := range byLatency {
+		rank[idx] = r + 1
 	}
-	sort.Slice(samples, func(a, b int) bool { return samples[a] < samples[b] })
-	return percentile(samples, 95), true
+	byDone := append([]int(nil), done...)
+	sort.Slice(byDone, func(a, b int) bool { return st.finDone[byDone[a]] < st.finDone[byDone[b]] })
+	// Every done request was routed, so the done requests in admission
+	// order are exactly the requests to visit.
+	byAdmit := done
+	sort.Slice(byAdmit, func(a, b int) bool {
+		return st.decisions[byAdmit[a]].admitUS < st.decisions[byAdmit[b]].admitUS
+	})
+
+	deadlines := make([]int64, len(st.reqs))
+	tree := make(fenwick, len(done)+1)
+	k := 0
+	for _, idx := range byAdmit {
+		admit := st.decisions[idx].admitUS
+		for ; k < len(byDone) && st.finDone[byDone[k]] <= admit; k++ {
+			tree.add(rank[byDone[k]])
+		}
+		if k >= hedgeMinSamples {
+			deadlines[idx] = latency(byLatency[tree.find(simtrace.NearestRank(k, 95))-1])
+		}
+	}
+	return deadlines
+}
+
+// fenwick is a binary indexed tree of counts over positions 1..len-1.
+type fenwick []int
+
+// add counts one more element at position i.
+func (t fenwick) add(i int) {
+	for ; i < len(t); i += i & -i {
+		t[i]++
+	}
+}
+
+// find returns the smallest position whose prefix count reaches k (k ≥ 1
+// and at most the total count).
+func (t fenwick) find(k int) int {
+	pos := 0
+	for step := 1 << (bits.Len(uint(len(t)-1)) - 1); step > 0; step >>= 1 {
+		if next := pos + step; next < len(t) && t[next] < k {
+			pos = next
+			k -= t[next]
+		}
+	}
+	return pos + 1
 }
 
 // hedgeTarget picks request idx's hedge destination: the first non-primary
@@ -666,6 +720,10 @@ func (st *runState) hedge() error {
 	if st.cfg.HedgeUS == 0 {
 		return nil
 	}
+	var auto []int64
+	if st.cfg.HedgeUS == HedgeAuto {
+		auto = st.autoDeadlines()
+	}
 	st.laneJobs = make([][]partserver.Job, st.numShards)
 	issued := false
 	for idx := range st.reqs {
@@ -673,8 +731,11 @@ func (st *runState) hedge() error {
 		if d.shard < 0 || st.finStatus[idx] != partserver.StatusDone {
 			continue
 		}
-		deadline, ok := st.hedgeDeadline(idx)
-		if !ok || deadline <= 0 || st.finDone[idx]-d.admitUS <= deadline {
+		deadline := st.cfg.HedgeUS
+		if auto != nil {
+			deadline = auto[idx]
+		}
+		if deadline <= 0 || st.finDone[idx]-d.admitUS <= deadline {
 			continue
 		}
 		issueUS := d.admitUS + deadline
@@ -733,11 +794,15 @@ func (st *runState) hedge() error {
 //
 // The run proceeds in phases, each a pure function of the previous ones:
 // route (admission decisions on the per-epoch rings), migrate (handoff
-// barriers of the membership schedule), serve (the primary lane on real
-// concurrent goroutines, harvested in shard order), hedge (the replica
-// hedge lane), gather (the merged report). Same seed + requests + config
-// therefore render a byte-identical Report, trace and metrics snapshot,
-// even under the race detector; a static, unhedged configuration takes the
+// barriers of the membership schedule, one planning pass per event), serve
+// (the primary lane on real concurrent goroutines, harvested in shard
+// order), hedge (the replica hedge lane, HedgeAuto deadlines from one
+// O(n log n) sweep), gather (the merged report). Planning and serve passes
+// share a per-shard memo: a shard is simulated again only when a handoff
+// changed its job list, so a run that delays no handoff simulates each
+// shard once. Same seed + requests + config therefore render a
+// byte-identical Report, trace and metrics snapshot, even under the race
+// detector; a static, unhedged configuration takes the
 // exact single-pass path — and produces the exact bytes — of the
 // pre-membership router.
 func Run(reqs []Request, cfg Config) (rep *Report, err error) {

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"fpgapart/internal/faults"
+	"fpgapart/internal/reqtrace"
 	"fpgapart/internal/simtrace"
 )
 
@@ -166,4 +168,106 @@ func compareGolden(t *testing.T, golden string, got []byte) {
 	}
 	t.Errorf("golden mismatch: %s differs from %s\n%s\nrerun with -update if the change is intended",
 		golden, gotPath, firstDiff(want, got))
+}
+
+// handoffLoad is the stream of the handoff snapshots: 600 dense requests
+// under churnSchedule, which makes the new owners wait out non-zero drain
+// barriers.
+func handoffLoad(t *testing.T, seed uint64) ([]Request, MembershipSchedule) {
+	t.Helper()
+	reqs, err := GenerateLoad(seed, 600, LoadOptions{MeanGapUS: 5, MinTuples: 256, MaxTuples: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs, churnSchedule(reqs)
+}
+
+// churnSchedule joins shard 3 at a third of the stream's arrival span and
+// drains shard 1 at two thirds.
+func churnSchedule(reqs []Request) MembershipSchedule {
+	var end int64
+	for i := range reqs {
+		if reqs[i].Job.ArrivalUS > end {
+			end = reqs[i].Job.ArrivalUS
+		}
+	}
+	return MembershipSchedule{
+		{AtUS: end / 3, Shard: 3, Kind: Join},
+		{AtUS: 2 * end / 3, Shard: 1, Kind: Drain},
+	}
+}
+
+// TestGoldenHandoff pins runs whose handoff barriers actually delay
+// requests, so the planning passes re-simulate shards: a plain churn run,
+// and the same churn with R=2 auto-deadline hedges racing an 8× straggler
+// under causal capture (per-request breakdowns and the merged flight
+// timeline included). Both must report delayed handoffs, or the snapshot
+// would stop covering the re-simulation path.
+func TestGoldenHandoff(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		seed   uint64
+		hedged bool
+	}{
+		{"plain", 1, false},
+		{"hedged_traced", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reqs, sched := handoffLoad(t, tc.seed)
+			sess := simtrace.NewSession()
+			cfg := Config{Shards: 3, Schedule: sched, Seed: tc.seed, Trace: sess}
+			var capt *reqtrace.Capture
+			if tc.hedged {
+				capt = &reqtrace.Capture{FlightCap: 1 << 14}
+				cfg.Replicas = 2
+				cfg.HedgeUS = HedgeAuto
+				cfg.Faults = stragglerScenario(tc.seed)
+				cfg.ReqTrace = capt
+			}
+			rep, err := Run(reqs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.HandoffDelayed == 0 {
+				t.Fatal("no request waited out a handoff barrier; the snapshot would not cover re-simulation")
+			}
+			if tc.hedged && rep.HedgeIssued == 0 {
+				t.Fatal("no hedge issued; the snapshot would not cover the auto deadline")
+			}
+			checkParity(t, rep, reqs, tc.seed)
+
+			var b bytes.Buffer
+			b.WriteString("{\n\"report\": ")
+			if err := rep.WriteJSON(&b); err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(",\n\"trace\": ")
+			if err := sess.Tracer.WriteJSON(&b); err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(",\n\"metrics\": ")
+			if err := sess.Metrics.Snapshot().WriteJSON(&b); err != nil {
+				t.Fatal(err)
+			}
+			if capt != nil {
+				b.WriteString(",\n\"breakdown\": ")
+				if err := reqtrace.WriteBreakdownJSON(&b, capt.Traces); err != nil {
+					t.Fatal(err)
+				}
+				b.WriteString(",\n\"postmortem\": ")
+				var pm bytes.Buffer
+				if err := capt.WritePostmortem(&pm, "golden"); err != nil {
+					t.Fatal(err)
+				}
+				q, err := json.Marshal(pm.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Write(q)
+			}
+			b.WriteString("}\n")
+
+			compareGolden(t, filepath.Join("testdata", "golden", "cluster_handoff_"+tc.name+".json"), b.Bytes())
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sort"
 	"testing"
 
 	"fpgapart/internal/faults"
@@ -173,5 +174,99 @@ func TestHedgeConfigValidation(t *testing.T) {
 	// whole membership (R-distinctness even when N ≤ R).
 	if _, err := Run(reqs, Config{Shards: 2, Replicas: 5, HedgeUS: 100}); err != nil {
 		t.Errorf("Replicas > Shards rejected: %v", err)
+	}
+}
+
+// servedState runs a cluster run's route, migrate and serve phases and
+// returns the state the hedge phase starts from.
+func servedState(t *testing.T, reqs []Request, cfg Config) *runState {
+	t.Helper()
+	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := newRunState(reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.route()
+	if err := st.migrate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.serve(); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// oracleDeadline is the brute-force HedgeAuto estimator: collect the
+// latency of every request completed by idx's admission, sort, and read the
+// nearest-rank p95. It also returns the sample count k; the deadline is 0
+// (no hedge) while k < hedgeMinSamples.
+func oracleDeadline(st *runState, idx int) (int64, int) {
+	admit := st.decisions[idx].admitUS
+	var samples []int64
+	for j := range st.reqs {
+		if st.finStatus[j] == partserver.StatusDone && st.finDone[j] <= admit {
+			samples = append(samples, st.finDone[j]-st.decisions[j].admitUS)
+		}
+	}
+	if len(samples) < hedgeMinSamples {
+		return 0, len(samples)
+	}
+	sort.Slice(samples, func(a, b int) bool { return samples[a] < samples[b] })
+	rank := (len(samples)*95 + 99) / 100
+	return samples[rank-1], len(samples)
+}
+
+// TestAutoDeadlinesMatchOracle: the one-sweep HedgeAuto deadlines equal the
+// brute-force estimator for every routed, done request of churn + quota +
+// straggler streams. The streams must cover quota deferral (admission order
+// differs from index order), tied latencies, and both sides of the
+// hedgeMinSamples boundary (k = 7 and k = 8), or the comparison would miss
+// the cases the sweep can get wrong.
+func TestAutoDeadlinesMatchOracle(t *testing.T) {
+	var reordered, tied, below, at bool
+	for seed := uint64(1); seed <= 4; seed++ {
+		reqs, err := GenerateLoad(seed, 300, LoadOptions{Tenants: 3, MeanGapUS: 5, MinTuples: 256, MaxTuples: 2048})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := servedState(t, reqs, Config{
+			Shards:        3,
+			TenantQuota:   2,
+			QuotaWindowUS: 20,
+			Schedule:      churnSchedule(reqs),
+			Replicas:      2,
+			HedgeUS:       HedgeAuto,
+			Seed:          seed,
+			Faults:        stragglerScenario(seed),
+		})
+		got := st.autoDeadlines()
+		seen := make(map[int64]bool)
+		lastAdmit := int64(-1)
+		for idx := range st.reqs {
+			d := &st.decisions[idx]
+			if d.shard < 0 || st.finStatus[idx] != partserver.StatusDone {
+				continue
+			}
+			want, k := oracleDeadline(st, idx)
+			if got[idx] != want {
+				t.Fatalf("seed %d request %d (k=%d): sweep deadline %d, oracle %d", seed, idx, k, got[idx], want)
+			}
+			if d.admitUS < lastAdmit {
+				reordered = true
+			}
+			lastAdmit = d.admitUS
+			lat := st.finDone[idx] - d.admitUS
+			tied = tied || seen[lat]
+			seen[lat] = true
+			below = below || k == hedgeMinSamples-1
+			at = at || k == hedgeMinSamples
+		}
+	}
+	if !reordered || !tied || !below || !at {
+		t.Errorf("streams miss a case: admission reordered %v, tied latencies %v, k=%d %v, k=%d %v",
+			reordered, tied, hedgeMinSamples-1, below, hedgeMinSamples, at)
 	}
 }

@@ -331,3 +331,67 @@ func TestReplicaSetAlwaysDistinct(t *testing.T) {
 		}
 	}
 }
+
+// nonEmptyShards counts the shards the router gave at least one job.
+func nonEmptyShards(st *runState) int {
+	n := 0
+	for s := range st.shardJobs {
+		if len(st.shardJobs[s]) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPrimaryLaneSimulationCount is the complexity guard of the memoized
+// planning passes. Without delayed handoffs every non-empty shard is
+// simulated exactly once, however many membership events the run has; with
+// delayed handoffs a shard is re-simulated only when a handoff changed its
+// job list, so the count exceeds the shard count but never reaches past one
+// simulation per shard per pass.
+func TestPrimaryLaneSimulationCount(t *testing.T) {
+	t.Run("no-delayed-handoffs", func(t *testing.T) {
+		reqs, err := GenerateLoad(5, 120, LoadOptions{MeanGapUS: 400})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sched := range []MembershipSchedule{
+			nil,
+			{{AtUS: 12000, Shard: 3, Kind: Join}},
+			{
+				{AtUS: 8000, Shard: 3, Kind: Join},
+				{AtUS: 20000, Shard: 0, Kind: Drain},
+				{AtUS: 32000, Shard: 4, Kind: Join},
+			},
+		} {
+			st := servedState(t, reqs, Config{Shards: 3, Schedule: sched, Seed: 5})
+			for idx, w := range st.handoff {
+				if w > 0 {
+					t.Fatalf("%d events: request %d delayed %dus; the case must delay no handoff", len(sched), idx, w)
+				}
+			}
+			if want := nonEmptyShards(st); st.primarySims != want {
+				t.Errorf("%d events: %d primary-lane simulations, want one per non-empty shard (%d)",
+					len(sched), st.primarySims, want)
+			}
+		}
+	})
+	t.Run("delayed-handoffs", func(t *testing.T) {
+		for seed := uint64(1); seed <= 3; seed++ {
+			reqs, sched := handoffLoad(t, seed)
+			st := servedState(t, reqs, Config{Shards: 3, Schedule: sched, Seed: seed})
+			delayed := false
+			for _, w := range st.handoff {
+				delayed = delayed || w > 0
+			}
+			if !delayed {
+				t.Fatalf("seed %d: no delayed handoff; the case covers nothing", seed)
+			}
+			shards := nonEmptyShards(st)
+			if st.primarySims <= shards || st.primarySims > shards*(len(sched)+1) {
+				t.Errorf("seed %d: %d primary-lane simulations, want in (%d, %d]",
+					seed, st.primarySims, shards, shards*(len(sched)+1))
+			}
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"fpgapart/internal/simtrace"
 	"fpgapart/partserver"
 )
 
@@ -259,9 +260,9 @@ func (st *runState) gather() *Report {
 			sum += v
 		}
 		rep.LatAvgUS = sum / int64(len(lat))
-		rep.LatP50US = percentile(lat, 50)
-		rep.LatP95US = percentile(lat, 95)
-		rep.LatP99US = percentile(lat, 99)
+		rep.LatP50US = simtrace.Percentile(lat, 50)
+		rep.LatP95US = simtrace.Percentile(lat, 95)
+		rep.LatP99US = simtrace.Percentile(lat, 99)
 	}
 	if rep.MakespanUS > 0 {
 		rep.QPSx100 = int64(rep.Done) * 100_000_000 / rep.MakespanUS
@@ -284,16 +285,6 @@ func (st *runState) gather() *Report {
 			MovedPermyriad(keys, st.rings[j], st.rings[j+1]))
 	}
 	return rep
-}
-
-// percentile returns the exact nearest-rank q-th percentile of sorted
-// (ascending) non-empty values.
-func percentile(sorted []int64, q int) int64 {
-	rank := (len(sorted)*q + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
 }
 
 // emit reports the run into the simtrace session, in fixed order, after the

@@ -8,8 +8,9 @@ import (
 )
 
 // capturePlumbing is the per-run causal-tracing state: one recorder per
-// shard (handed to the shard schedulers), one per hedge lane, plus the
-// router's own flight ring. nil when the run is untraced.
+// shard (handed to the shard schedulers; replaced on every primary-lane
+// simulation of the shard, so it holds the latest one), one per hedge lane,
+// plus the router's own flight ring. nil when the run is untraced.
 type capturePlumbing struct {
 	cap    *reqtrace.Capture
 	recs   []*reqtrace.Recorder
@@ -27,8 +28,7 @@ func newCapturePlumbing(c *reqtrace.Capture, shards int) *capturePlumbing {
 		lanes:  make([]*reqtrace.Recorder, shards),
 		router: reqtrace.NewFlight(c.FlightCap),
 	}
-	for s := range p.recs {
-		p.recs[s] = reqtrace.NewRecorder(c.FlightCap)
+	for s := range p.lanes {
 		p.lanes[s] = reqtrace.NewRecorder(c.FlightCap)
 	}
 	return p
@@ -42,11 +42,13 @@ func (p *capturePlumbing) record(us int64, kind string, job int, arg int64) {
 	p.router.Record(reqtrace.FlightEvent{US: us, Comp: "router", Kind: kind, Job: job, Arg: arg})
 }
 
-// shardRecorder returns shard s's primary-lane recorder (nil when untraced).
-func (p *capturePlumbing) shardRecorder(s int) *reqtrace.Recorder {
+// freshShardRecorder installs and returns a new primary-lane recorder for
+// shard s (nil when untraced).
+func (p *capturePlumbing) freshShardRecorder(s int) *reqtrace.Recorder {
 	if p == nil {
 		return nil
 	}
+	p.recs[s] = reqtrace.NewRecorder(p.cap.FlightCap)
 	return p.recs[s]
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"fpgapart/internal/simtrace"
 )
 
 // CompStat aggregates one component across a run: total virtual time and
@@ -92,9 +94,9 @@ func Analyze(traces []RequestTrace, topK int) *Profile {
 	for c := 0; c < NumComponents; c++ {
 		vals := perComp[c]
 		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-		p.Comp[c].P50US = nearestRank(vals, 50)
-		p.Comp[c].P95US = nearestRank(vals, 95)
-		p.Comp[c].P99US = nearestRank(vals, 99)
+		p.Comp[c].P50US = simtrace.Percentile(vals, 50)
+		p.Comp[c].P95US = simtrace.Percentile(vals, 95)
+		p.Comp[c].P99US = simtrace.Percentile(vals, 99)
 	}
 
 	sort.Slice(paths, func(a, b int) bool {
@@ -111,7 +113,7 @@ func Analyze(traces []RequestTrace, topK int) *Profile {
 	// Tail attribution: the component mix of requests at or above the p99
 	// latency — "p99 requests spend N% in queue wait".
 	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
-	p.TailCutUS = nearestRank(lats, 99)
+	p.TailCutUS = simtrace.Percentile(lats, 99)
 	var tailTotal int64
 	var tailComp [NumComponents]int64
 	for i := range traces {
@@ -131,19 +133,6 @@ func Analyze(traces []RequestTrace, topK int) *Profile {
 		}
 	}
 	return p
-}
-
-// nearestRank returns the exact nearest-rank q-th percentile of sorted
-// (ascending) values, 0 when empty.
-func nearestRank(sorted []int64, q int) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (len(sorted)*q + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
 }
 
 // Format renders the profile as a deterministic text report: per-component
